@@ -3,18 +3,17 @@
 The paper's arrays are throughput devices: Section 4 feeds the Fig. 3
 pipeline a *stream* of matrix strings and eq. 29 sizes the process count
 for a stream of subproblems.  :func:`repro.exec.solve_batch` implements
-that reading in software — stacked vectorized kernels, eq.-29 (KT²)
-process sharding and a digest-keyed solve cache — and this module
-measures each level against the baseline everyone would write first: a
-Python loop over :func:`repro.solve`.
+that reading in software — the arrays' own fast lanes run over stacked
+instances, even process sharding and a digest-keyed solve cache — and
+this module measures each level against the baseline everyone would
+write first: a Python loop over :func:`repro.solve`.
 
 Reproduced artifact: ``BENCH_throughput.json`` with
 
 * looped vs. batched vs. sharded wall-clock curves over batch sizes,
 * the acceptance floor — batched ≥ 5x over looped at batch 64 of
   same-shape monadic-serial instances (fast backend, single process),
-* second-pass cache stats (must be all hits, zero misses),
-* the KT²-vs-even shard-planner ablation of eq. 29.
+* second-pass cache stats (must be all hits, zero misses).
 
 The checked-in copy under ``benchmarks/results/`` is regenerated with::
 
@@ -35,7 +34,6 @@ import time
 import numpy as np
 
 from repro import SolveCache, solve, solve_batch
-from repro.dnc import plan_shards
 from repro.graphs import traffic_light_problem
 
 from _benchutil import print_table, write_bench_record
@@ -98,32 +96,7 @@ def _measure(batch_sizes: tuple[int, ...], workers: int) -> dict:
     return {"workers": workers, "rows": rows}
 
 
-def _shard_ablation(num_items: int, workers: int) -> dict:
-    """Eq.-29 KT² planner vs. the naive even split, measured end to end."""
-    rng = np.random.default_rng(0xF00D)
-    probs = _problems(rng, num_items)
-    out = {}
-    for strategy in ("kt2", "even"):
-        plan = plan_shards(num_items, workers, strategy=strategy)
-        start = time.perf_counter()
-        result = solve_batch(
-            probs,
-            workers=workers,
-            min_shard_items=16,
-            shard_strategy=strategy,
-        )
-        wall = time.perf_counter() - start
-        out[strategy] = {
-            "wall_seconds": wall,
-            "shards": result.stats.shards,
-            "shard_sizes": list(result.stats.shard_sizes),
-            "kt2": plan.kt2,
-            "schedule_total": plan.schedule.total,
-        }
-    return out
-
-
-def _render(measured: dict, ablation: dict) -> None:
+def _render(measured: dict) -> None:
     print_table(
         f"solve_batch throughput, {N_STAGES} stages x {M_VALUES} values "
         f"(workers={measured['workers']})",
@@ -137,18 +110,9 @@ def _render(measured: dict, ablation: dict) -> None:
             for r in measured["rows"]
         ],
     )
-    print_table(
-        "eq.-29 shard-planner ablation",
-        ["strategy", "shards", "sizes", "KT^2", "wall s"],
-        [
-            [s, d["shards"], d["shard_sizes"], f"{d['kt2']:.0f}",
-             f"{d['wall_seconds']:.4f}"]
-            for s, d in ablation.items()
-        ],
-    )
 
 
-def _record(measured: dict, ablation: dict, out_dir: pathlib.Path) -> pathlib.Path:
+def _record(measured: dict, out_dir: pathlib.Path) -> pathlib.Path:
     floor = next(r for r in measured["rows"] if r["batch"] >= 64)
     return write_bench_record(
         "throughput",
@@ -163,7 +127,6 @@ def _record(measured: dict, ablation: dict, out_dir: pathlib.Path) -> pathlib.Pa
             "workers": measured["workers"],
             "curves": measured["rows"],
             "batched_speedup_at_64": floor["batched_speedup"],
-            "shard_ablation": ablation,
         },
         out_dir=out_dir,
     )
@@ -171,9 +134,8 @@ def _record(measured: dict, ablation: dict, out_dir: pathlib.Path) -> pathlib.Pa
 
 def test_throughput(tmp_path):
     measured = _measure(QUICK_BATCH_SIZES, workers=2)
-    ablation = _shard_ablation(64, workers=2)
-    _render(measured, ablation)
-    _record(measured, ablation, tmp_path)
+    _render(measured)
+    _record(measured, tmp_path)
     floor = next(r for r in measured["rows"] if r["batch"] >= 64)
     assert floor["batched_speedup"] >= 5.0, (
         f"batched only {floor['batched_speedup']:.1f}x over looped solve()"
@@ -200,11 +162,10 @@ def main() -> None:
     args = parser.parse_args()
     sizes = QUICK_BATCH_SIZES if args.quick else BATCH_SIZES
     measured = _measure(sizes, workers=args.workers)
-    ablation = _shard_ablation(256, workers=args.workers)
-    _render(measured, ablation)
+    _render(measured)
     out_dir = pathlib.Path(args.out) if args.out else RESULTS_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = _record(measured, ablation, out_dir)
+    path = _record(measured, out_dir)
     floor = next(r for r in measured["rows"] if r["batch"] >= 64)
     print(f"\nwrote {path} (batched {floor['batched_speedup']:.1f}x at batch 64)")
 

@@ -414,7 +414,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=cache,
         min_shard_items=args.min_shard_items,
-        shard_strategy=args.shard_strategy,
     )
     batched_wall = time.perf_counter() - start
     for rep, ref in zip(result.reports, looped):
@@ -440,8 +439,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     print(
         f"  groups={stats.groups} vectorized={stats.vectorized_groups} "
-        f"fill={stats.fill_factor:.2f} shards={stats.shards} "
-        f"strategy={stats.shard_strategy}"
+        f"fill={stats.fill_factor:.2f} shards={stats.shards}"
     )
     print(
         f"  cache second pass: {second.stats.cache_hits}/{second.stats.total} hits "
@@ -456,7 +454,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             "m": args.m,
             "backend": stats.backend,
             "workers": stats.workers,
-            "shard_strategy": stats.shard_strategy,
             "looped_wall_seconds": looped_wall,
             "batched_wall_seconds": batched_wall,
             "speedup": speedup,
@@ -687,10 +684,6 @@ def main(argv: list[str] | None = None) -> int:
     p_batch.add_argument(
         "--min-shard-items", type=int, default=64,
         help="smallest group worth sharding across the pool (default: 64)",
-    )
-    p_batch.add_argument(
-        "--shard-strategy", choices=("kt2", "even"), default="kt2",
-        help="shard-size planner: eq.-29 KT² rule or naive even split",
     )
     p_batch.add_argument("--json", default=None, help="write a batch_cli record here")
     p_batch.set_defaults(func=_cmd_batch)

@@ -35,7 +35,7 @@ from ..dp import (
     solve_node_value,
 )
 from ..dp.nonserial import NonserialObjective
-from ..graphs import MultistageGraph, NodeValueProblem
+from ..graphs import MultistageGraph, NodeValueProblem, add_virtual_terminals
 from ..systolic import (
     BroadcastMatrixStringArray,
     BroadcastParenthesizer,
@@ -47,7 +47,11 @@ from ..systolic import (
 from .classification import DPClass, Recommendation, recommend
 from .problem import MatrixChainProblem
 
-__all__ = ["SolveReport", "solve"]
+__all__ = ["PREFER_CHOICES", "SolveReport", "route", "solve"]
+
+#: Architecture overrides accepted by ``solve(prefer=...)`` and
+#: ``solve_batch(prefer=...)``.
+PREFER_CHOICES = ("pipelined", "broadcast", "sequential", "dnc", "systolic")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,6 +110,7 @@ def solve(
     ``"pipelined"``/``"broadcast"``/``"sequential"`` for edge-cost serial
     problems, ``"broadcast"``/``"systolic"`` for matrix-chain ordering,
     ``"dnc"`` to force the polyadic-serial path on a multistage graph.
+    Any other value raises ``ValueError`` (see :func:`route`).
 
     ``backend`` selects the array execution engine for every systolic
     path: ``"rtl"`` (cycle-accurate machine), ``"fast"`` (vectorized
@@ -179,15 +184,16 @@ def _solve_dispatch(
     strict: bool,
 ) -> SolveReport:
     rec = recommend(problem)
+    method, framed = route(problem, rec, prefer)
     if fault_plan is not None:
         return _solve_faulty(problem, rec, prefer, sinks, fault_plan, recovery)
 
     if isinstance(problem, NodeValueProblem):
-        return _solve_node_value(problem, rec, backend, sinks, strict)
+        return _solve_node_value(problem, rec, method, backend, sinks, strict)
     if isinstance(problem, MultistageGraph):
-        return _solve_graph(problem, rec, prefer, backend, sinks, strict)
+        return _solve_graph(problem, rec, method, framed, backend, sinks, strict)
     if isinstance(problem, MatrixChainProblem):
-        return _solve_chain(problem, rec, prefer, backend, sinks, strict)
+        return _solve_chain(problem, rec, method, backend, sinks, strict)
     if isinstance(problem, NonserialObjective):
         return _solve_nonserial(problem, rec)
     raise TypeError(f"cannot solve object of type {type(problem).__name__}")
@@ -212,16 +218,14 @@ def _solve_faulty(
         extract = lambda res: (res.optimum, res.path)  # noqa: E731
         method = "fig5-feedback-array"
     elif isinstance(problem, MultistageGraph):
-        target = problem
-        if not _graph_fits_linear_array(target):
-            if len(set(target.stage_sizes)) != 1:
-                raise TypeError(
-                    "fault injection on graphs needs a linear-array-shaped "
-                    f"instance; got stage sizes {target.stage_sizes}"
-                )
-            from ..graphs import add_virtual_terminals
-
-            target = add_virtual_terminals(target)
+        array_method = "broadcast" if prefer == "broadcast" else "pipelined"
+        routed, framed = route(problem, rec, array_method)
+        if routed != array_method:
+            raise TypeError(
+                "fault injection on graphs needs a linear-array-shaped "
+                f"instance; got stage sizes {problem.stage_sizes}"
+            )
+        target = add_virtual_terminals(problem) if framed else problem
         cls = (
             flt.BroadcastHarness if prefer == "broadcast" else flt.PipelinedHarness
         )
@@ -276,12 +280,13 @@ def _solve_faulty(
 def _solve_node_value(
     problem: NodeValueProblem,
     rec: Recommendation,
+    method: str,
     backend: str = "rtl",
     sinks: tuple = (),
     strict: bool = False,
 ) -> SolveReport:
     ref = solve_node_value(problem)
-    if problem.is_uniform and rec.dp_class is DPClass.MONADIC_SERIAL:
+    if method == "fig5":
         res = FeedbackSystolicArray(problem.semiring).run(
             problem, backend=backend, sinks=sinks, strict=strict
         )
@@ -295,8 +300,9 @@ def _solve_node_value(
             detail=res,
             recommendation=rec,
         )
-    if rec.dp_class is DPClass.POLYADIC_SERIAL:
-        return _solve_graph(problem.to_graph(), rec, "dnc", backend, sinks, strict)
+    if method == "dnc":
+        graph = problem.to_graph()
+        return _solve_graph(graph, rec, "dnc", False, backend, sinks, strict)
     return SolveReport(
         dp_class=rec.dp_class,
         method="sequential-sweep",
@@ -318,24 +324,64 @@ def _graph_fits_linear_array(graph: MultistageGraph) -> bool:
     return len(set(interior)) == 1
 
 
+def route(
+    problem: object, rec: Recommendation, prefer: str | None
+) -> tuple[str, bool]:
+    """The Table-1 routing rule: ``(method, framed)`` for one problem.
+
+    ``method`` is ``"fig5"``, ``"pipelined"``, ``"broadcast"``,
+    ``"dnc"`` or ``"sequential"`` for multistage problems, ``"systolic"``
+    or ``"broadcast"`` for matrix chains, and ``"elimination"`` for
+    everything else.  ``framed`` says a uniform multi-source/sink graph
+    needs zero-cost virtual terminals (the paper's degenerate
+    row/column-vector boundary) before it fits the Fig. 3/4 linear
+    arrays.  ``solve()`` and the batch engine both route through here,
+    so they cannot disagree on where a problem goes.
+
+    Raises ``ValueError`` for an unknown ``prefer`` and for multistage
+    problems whose semiring cannot extract decisions (the sequential
+    oracle needs an arg-reduction).
+    """
+    if prefer is not None and prefer not in PREFER_CHOICES:
+        raise ValueError(
+            f"unknown prefer={prefer!r}; expected one of {', '.join(PREFER_CHOICES)}"
+        )
+    if isinstance(problem, MatrixChainProblem):
+        return ("broadcast" if prefer == "broadcast" else "systolic"), False
+    if not isinstance(problem, (NodeValueProblem, MultistageGraph)):
+        return "elimination", False
+    sr = problem.semiring
+    if sr.add_argreduce is None:
+        raise ValueError(f"semiring {sr.name!r} does not support decision extraction")
+    if isinstance(problem, NodeValueProblem):
+        if problem.is_uniform and rec.dp_class is DPClass.MONADIC_SERIAL:
+            return "fig5", False
+        if rec.dp_class is DPClass.POLYADIC_SERIAL:
+            return "dnc", False
+        return "sequential", False
+    fits = _graph_fits_linear_array(problem)
+    linear = fits or len(set(problem.stage_sizes)) == 1
+    method = prefer
+    if method is None:
+        if rec.dp_class is DPClass.POLYADIC_SERIAL:
+            method = "dnc"
+        else:
+            method = "pipelined" if linear else "sequential"
+    if method in ("pipelined", "broadcast") and linear:
+        return method, not fits
+    return ("dnc" if method == "dnc" else "sequential"), False
+
+
 def _solve_graph(
     graph: MultistageGraph,
     rec: Recommendation,
-    prefer: str | None,
+    method: str,
+    framed: bool,
     backend: str = "rtl",
     sinks: tuple = (),
     strict: bool = False,
 ) -> SolveReport:
     ref = solve_backward(graph)
-    method = prefer
-    if method is None:
-        if rec.dp_class is DPClass.POLYADIC_SERIAL:
-            method = "dnc"
-        elif _graph_fits_linear_array(graph) or len(set(graph.stage_sizes)) == 1:
-            method = "pipelined"
-        else:
-            method = "sequential"
-
     if method == "dnc":
         mats = graph.as_matrices()
         n = len(mats)
@@ -357,23 +403,13 @@ def _solve_graph(
             detail=sched,
             recommendation=rec,
         )
-    uniform = len(set(graph.stage_sizes)) == 1
-    if method in ("pipelined", "broadcast") and (
-        _graph_fits_linear_array(graph) or uniform
-    ):
+    if method in ("pipelined", "broadcast"):
         array: Any = (
             PipelinedMatrixStringArray(graph.semiring)
             if method == "pipelined"
             else BroadcastMatrixStringArray(graph.semiring)
         )
-        target = graph
-        if not _graph_fits_linear_array(graph):
-            # Uniform multi-source/sink graphs run after framing with
-            # zero-cost virtual terminals (the paper's degenerate
-            # row/column-vector boundary).
-            from ..graphs import add_virtual_terminals
-
-            target = add_virtual_terminals(graph)
+        target = add_virtual_terminals(graph) if framed else graph
         if method == "broadcast" and target.is_single_source_sink:
             # The Fig. 4 ARG path registers let the dispatcher hand back
             # a traced optimal path instead of only the cost.
@@ -418,14 +454,14 @@ def _solve_graph(
 def _solve_chain(
     problem: MatrixChainProblem,
     rec: Recommendation,
-    prefer: str | None,
+    method: str,
     backend: str = "rtl",
     sinks: tuple = (),
     strict: bool = False,
 ) -> SolveReport:
     ref = solve_matrix_chain(problem.dims)
     engine: Any = (
-        BroadcastParenthesizer() if prefer == "broadcast" else SystolicParenthesizer()
+        BroadcastParenthesizer() if method == "broadcast" else SystolicParenthesizer()
     )
     run = engine.run(problem.dims, backend=backend, sinks=sinks, strict=strict)
     return SolveReport(

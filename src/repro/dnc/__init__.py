@@ -8,7 +8,6 @@ behind Figure 6.
 
 from .analysis import (
     ScheduleTime,
-    ShardPlan,
     argmin_kt2,
     asymptotic_pu,
     asymptotic_pu_limit,
@@ -17,7 +16,6 @@ from .analysis import (
     kt2,
     kt2_curve,
     optimal_granularity,
-    plan_shards,
     processor_utilization,
     schedule_time,
 )
@@ -26,8 +24,6 @@ from .tree import AndTreeNode, balanced_tree, schedule_tree_height
 
 __all__ = [
     "ScheduleTime",
-    "ShardPlan",
-    "plan_shards",
     "schedule_time",
     "processor_utilization",
     "asymptotic_pu",

@@ -1,12 +1,12 @@
-"""Batch execution engine: vectorized kernels, sharding, solve cache.
+"""Batch execution engine: stacked fast lanes, sharding, solve cache.
 
 The paper's Sections 4–5 treat the systolic array as a *throughput*
 device fed a stream of instances; this subpackage is that reading made
-operational.  :func:`solve_batch` groups same-shape instances into
-stacked vectorized kernels, shards large groups across a process pool
-sized by the eq.-29 KT² rule, and serves repeats from a digest-keyed
-LRU cache shared with single-problem ``solve(cache=...)`` calls.  See
-``docs/scaling.md``.
+operational.  :func:`solve_batch` runs each group of same-shape
+instances through one call of the array design's own batch-native fast
+lane, splits large groups evenly across a process pool, and serves
+repeats from a digest-keyed LRU cache shared with single-problem
+``solve(cache=...)`` calls.  See ``docs/scaling.md``.
 """
 
 from .cache import CacheStats, SolveCache, default_cache

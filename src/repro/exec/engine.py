@@ -4,20 +4,19 @@ Throughput comes from three stacked levels, in the spirit of the
 paper's Section 4 (an array fed a *stream* of instances, not a one-shot
 device):
 
-1. **Vectorized multi-instance kernels** — same-shape, same-class
-   instances are grouped (:mod:`repro.exec.grouping`) and run through
-   the fast backends as one stacked 3-D semiring pass
-   (:mod:`repro.exec.vectorized`), bit-identical per instance to a
+1. **Stacked fast lanes** — same-shape instances that ``solve()``
+   would route to the same array (:mod:`repro.exec.grouping`) are
+   carried by one call of that design's own batch-native fast lane
+   (:mod:`repro.exec.vectorized`), so each report is bit-identical to a
    looped :func:`repro.core.solver.solve`.
-2. **Process-pool sharding** — large groups are split across a worker
-   pool (:mod:`repro.exec.pool`), with shard count and sizes chosen by
-   the paper's own KT² rule (:func:`repro.dnc.plan_shards`, eq. 29 /
-   Theorem 1); ``shard_strategy="even"`` is the naive ablation baseline.
+2. **Process-pool sharding** — large groups are split evenly into
+   ``min(workers, len(group))`` contiguous shards and run across a
+   worker pool (:mod:`repro.exec.pool`).
 3. **A digest-keyed result cache** — canonical problem digest →
    ``SolveReport`` (:mod:`repro.exec.cache`), shared with single-problem
    ``solve(cache=...)`` calls.
 
-Side-effectful runs bypass both the cache and the vectorized kernels:
+Side-effectful runs bypass both the cache and the stacked lanes:
 ``sinks`` and ``fault_plan`` force a sequential in-process loop (their
 observers must see every event of every run), while ``backend="rtl"``
 and ``strict`` runs stay cycle-accurate per instance but can still be
@@ -33,7 +32,6 @@ import time
 from typing import Any, Callable, Iterable, Sequence
 
 from ..core.solver import SolveReport, solve
-from ..dnc import plan_shards
 from ..systolic import normalize_backend
 from .cache import SolveCache, default_cache
 from .digest import cache_key
@@ -60,14 +58,13 @@ class BatchStats:
     groups: int
     vectorized_groups: int
     vectorized_problems: int
-    #: Share of executed problems that rode a stacked vectorized kernel
+    #: Share of executed problems that rode a stacked fast-lane call
     #: (1.0 = every executed instance was carried by a batched pass).
     fill_factor: float
     shards: int  # payloads dispatched to the worker pool
     shard_sizes: tuple[int, ...]
     per_shard_seconds: tuple[float, ...]
     workers: int
-    shard_strategy: str
     backend: str
     wall_seconds: float
 
@@ -137,7 +134,6 @@ def solve_batch(
     recovery: str = "retry",
     registry: Any = None,
     min_shard_items: int = DEFAULT_MIN_SHARD_ITEMS,
-    shard_strategy: str = "kt2",
 ) -> BatchResult:
     """Solve a batch of problems, returning reports in batch order.
 
@@ -150,10 +146,10 @@ def solve_batch(
     ``cache`` is a :class:`~repro.exec.cache.SolveCache`, or ``True``
     for the process-wide default cache.  Runs with ``sinks``,
     ``fault_plan``, ``backend="rtl"`` or ``strict`` bypass it entirely
-    (every instance re-executes).  ``workers > 1`` shards groups of at
-    least ``min_shard_items`` problems across a process pool, sized by
-    ``shard_strategy`` (``"kt2"``: the eq.-29 planner; ``"even"``: naive
-    equal split).  ``registry`` (a
+    (every instance re-executes).  ``workers > 1`` splits each group of
+    at least ``min_shard_items`` problems evenly into
+    ``min(workers, len(group))`` shards run on a process pool.
+    ``registry`` (a
     :class:`~repro.telemetry.MetricsRegistry`) receives the throughput
     counters described in ``docs/scaling.md``.
     """
@@ -235,8 +231,7 @@ def solve_batch(
                 and (group.kind in VECTORIZED_KINDS or group.picklable)
             )
             if shardable:
-                plan = plan_shards(len(group), workers, strategy=shard_strategy)
-                for lo, hi in plan.offsets():
+                for lo, hi in _even_shards(len(group), workers):
                     pooled.append(
                         (group.indices[lo:hi], slice_payload(payload, lo, hi))
                     )
@@ -282,13 +277,25 @@ def solve_batch(
         shard_sizes=tuple(shard_sizes),
         per_shard_seconds=tuple(per_shard_seconds),
         workers=workers,
-        shard_strategy=shard_strategy,
         backend=backend,
         wall_seconds=time.perf_counter() - start,
     )
     if registry is not None:
         _publish_metrics(registry, stats)
     return BatchResult(reports=final, stats=stats)
+
+
+def _even_shards(num_items: int, workers: int) -> list[tuple[int, int]]:
+    """``min(workers, num_items)`` contiguous ``[start, stop)`` ranges
+    covering ``num_items``, with sizes differing by at most one."""
+    k = min(workers, num_items)
+    if k < 1:
+        return []
+    base, rem = divmod(num_items, k)
+    bounds = [0]
+    for i in range(k):
+        bounds.append(bounds[-1] + base + (1 if i < rem else 0))
+    return list(zip(bounds, bounds[1:]))
 
 
 def _scatter(

@@ -1,10 +1,10 @@
 """Partition a batch of problems into same-kernel, same-shape groups.
 
-The batch engine mirrors the Table-1 dispatch of
-:func:`repro.core.solver.solve` *statically*: every problem is
-classified, and problems that ``solve()`` would send to the same fast
-systolic kernel with the same shape are grouped so one stacked 3-D
-semiring pass (:mod:`repro.exec.vectorized`) can carry the whole group.
+Every problem is classified and routed by
+:func:`repro.core.solver.route`, the same rule ``solve()`` dispatches
+on.  Problems that go to the same fast systolic lane (Fig. 5 or Fig. 3)
+with the same shape are grouped so one stacked call of that lane
+(:mod:`repro.exec.vectorized`) can carry the whole group.
 Everything else lands in scalar groups that loop ``solve()`` —
 partitioned by whether the problems are picklable, since only picklable
 scalar groups can be shipped to a worker process.
@@ -15,14 +15,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Any
 
-from ..core.classification import DPClass, Recommendation, recommend
+from ..core.classification import Recommendation, recommend
 from ..core.problem import MatrixChainProblem
-from ..core.solver import _graph_fits_linear_array
-from ..graphs import MultistageGraph, NodeValueProblem
+from ..core.solver import route
+from ..graphs import MultistageGraph
 
 __all__ = ["Group", "group_problems", "VECTORIZED_KINDS"]
 
-#: Group kinds executed by a stacked vectorized kernel.
+#: Group kinds carried by one stacked fast-lane call.
 VECTORIZED_KINDS = ("feedback", "pipelined")
 
 
@@ -41,35 +41,22 @@ class Group:
         return len(self.indices)
 
 
-def _plan(problem: object, rec: Recommendation, prefer: str | None) -> tuple[str, tuple[Any, ...], bool]:
-    """(kind, group key, picklable) for one problem, mirroring ``solve()``."""
-    if isinstance(problem, NodeValueProblem):
-        # ``edge_cost`` is frequently a closure, so node-value problems
-        # are conservatively treated as unpicklable; their *vectorized*
-        # payloads (materialized cost matrices) still ship fine.
-        if problem.is_uniform and rec.dp_class is DPClass.MONADIC_SERIAL:
-            key = ("feedback", problem.num_stages, problem.stage_sizes[0],
-                   problem.semiring.name)
-            return "feedback", key, True
-        return "scalar", ("scalar", False), False
-    if isinstance(problem, MultistageGraph):
-        method = prefer
-        if method is None:
-            if rec.dp_class is DPClass.POLYADIC_SERIAL:
-                method = "dnc"
-            elif _graph_fits_linear_array(problem) or len(set(problem.stage_sizes)) == 1:
-                method = "pipelined"
-            else:
-                method = "sequential"
-        if method == "pipelined" and (
-            _graph_fits_linear_array(problem) or len(set(problem.stage_sizes)) == 1
-        ):
-            key = ("pipelined", problem.stage_sizes, problem.semiring.name)
-            return "pipelined", key, True
-        return "scalar", ("scalar", True), True
-    if isinstance(problem, MatrixChainProblem):
-        return "scalar", ("scalar", True), True
-    return "scalar", ("scalar", False), False
+def _plan(
+    problem: Any, rec: Recommendation, prefer: str | None
+) -> tuple[str, tuple[Any, ...], bool]:
+    """(kind, group key, picklable) for one problem, routed as ``solve()`` routes it."""
+    method, _ = route(problem, rec, prefer)
+    if method == "fig5":
+        shape = (problem.num_stages, problem.stage_sizes[0])
+        return "feedback", ("feedback", *shape, problem.semiring.name), True
+    if method == "pipelined":
+        key = ("pipelined", problem.stage_sizes, problem.semiring.name)
+        return "pipelined", key, True
+    # ``edge_cost`` is frequently a closure, so node-value problems are
+    # conservatively treated as unpicklable; their *vectorized* payloads
+    # (materialized cost matrices) still ship fine.
+    picklable = isinstance(problem, (MultistageGraph, MatrixChainProblem))
+    return "scalar", ("scalar", picklable), picklable
 
 
 def group_problems(

@@ -1,7 +1,7 @@
 """Process-pool sharding of batch payloads.
 
 Shards are picklable payload dicts (:mod:`repro.exec.vectorized`):
-stacked cost arrays for the vectorized kernels, or raw picklable
+stacked cost arrays for the stacked fast lanes, or raw picklable
 problems for scalar groups.  Each worker process executes its shard with
 :func:`repro.exec.vectorized.run_payload` — constructing its *own*
 machines, harnesses and (under ``strict=``) its own

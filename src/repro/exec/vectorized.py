@@ -1,27 +1,20 @@
-"""Stacked multi-instance kernels for the batch engine.
+"""Stacked multi-instance execution for the batch engine.
 
-Each kernel here is the *batched* twin of one per-design fast backend:
-the same NumPy reduction, with a leading batch axis, applied to a whole
-group of same-shape instances at once.  Bit-identity with the looped
-path is a hard requirement (the cross-backend fuzz suite asserts exact
-equality), so every reduction uses exactly the operand order and axes of
-the unbatched kernel:
+The batch engine runs no kernel of its own: a same-shape group is
+carried by one call of the design's own fast lane, which takes a
+leading batch axis —
+:meth:`~repro.systolic.feedback_array.FeedbackSystolicArray.run_fast_batch`
+(Fig. 5) and
+:meth:`~repro.systolic.pipelined_array.PipelinedMatrixStringArray.run_fast_batch`
+(Fig. 3).  A looped ``solve(backend="fast")`` makes the same calls with
+a batch of one, so values, traced paths and closed-form counters are
+bit-identical per instance by construction.
 
-* **Fig. 5 feedback** — the stage recurrence of
-  :meth:`~repro.systolic.feedback_array.FeedbackSystolicArray._run_fast`:
-  ``cand = mul(h[:, :, None], C)`` reduced (and arg-reduced) along the
-  predecessor axis, per stage.  NumPy's arg-reductions keep the
-  first-occurrence tie-break per batch row, so traced paths match too.
-* **Fig. 3 pipelined** — the right-to-left mat-vec chain of
-  :meth:`~repro.systolic.pipelined_array.PipelinedMatrixStringArray._run_fast`
-  via :func:`repro.semiring.batched_matvec`.
-
-Both kernels are driven through picklable *payloads* (plain dicts of
-stacked ``ndarray``s plus the semiring name), so the same code runs
-in-process and inside pool workers: a group is prepared once, optionally
-sliced into shards, and each shard executes independently.  Reports come
-back with the fast backend's closed-form counters — identical to what a
-looped ``solve(backend="fast")`` reports per instance.
+This module only stacks the operands and wraps the lane's results.
+Groups travel as picklable *payloads* (plain dicts of stacked
+``ndarray``s plus the semiring name), so the same code runs in-process
+and inside pool workers: a group is prepared once, optionally sliced
+into shards, and each shard executes independently.
 """
 
 from __future__ import annotations
@@ -30,13 +23,11 @@ from typing import Any
 
 import numpy as np
 
-from ..core.solver import SolveReport
-from ..graphs import MultistageGraph, NodeValueProblem, StagePath, add_virtual_terminals
-from ..graphs.multistage import GraphError
-from ..semiring import batched_matvec, by_name
-from ..systolic.fabric import RunReport
-from ..systolic.feedback_array import FeedbackArrayResult
-from ..systolic.pipelined_array import PipelinedArrayResult
+from ..core.solver import SolveReport, route
+from ..graphs import MultistageGraph, NodeValueProblem, add_virtual_terminals
+from ..semiring import by_name
+from ..systolic.feedback_array import FeedbackSystolicArray
+from ..systolic.pipelined_array import PipelinedMatrixStringArray
 from .grouping import Group
 
 __all__ = [
@@ -50,59 +41,45 @@ __all__ = [
 # Payload preparation (runs in the parent process)
 # ----------------------------------------------------------------------
 def prepare_payload(group: Group) -> dict[str, Any]:
-    """A picklable execution payload for one vectorizable group."""
+    """A picklable execution payload for one vectorizable group.
+
+    ``operands`` holds the stacked arrays, each with the batch on axis
+    0: the Fig. 5 layer cost matrices, or the Fig. 3 matrix string whose
+    last operand is the ``(B, m, 1)`` sink column.
+    """
     if group.kind == "feedback":
-        return _prepare_feedback(group)
-    if group.kind == "pipelined":
-        return _prepare_pipelined(group)
-    raise ValueError(f"group kind {group.kind!r} has no vectorized payload")
-
-
-def _prepare_feedback(group: Group) -> dict[str, Any]:
-    problems: list[NodeValueProblem] = group.problems
-    first = problems[0]
-    n_stages = first.num_stages
-    m = first.stage_sizes[0]
-    layers = [
-        np.stack([p.cost_matrix(k) for p in problems])
-        for k in range(n_stages - 1)
-    ]
+        problems: list[NodeValueProblem] = group.problems
+        operands = [
+            np.stack([p.cost_matrix(k) for p in problems])
+            for k in range(problems[0].num_stages - 1)
+        ]
+    elif group.kind == "pipelined":
+        operands = _prepare_pipelined(group)
+    else:
+        raise ValueError(f"group kind {group.kind!r} has no vectorized payload")
     return {
-        "kind": "feedback",
-        "semiring": first.semiring.name,
-        "n_stages": n_stages,
-        "m": m,
-        "layers": layers,  # list of (B, m, m)
+        "kind": group.kind,
+        "semiring": group.problems[0].semiring.name,
+        "operands": operands,
         "recommendations": list(group.recommendations),
     }
 
 
-def _prepare_pipelined(group: Group) -> dict[str, Any]:
-    problems: list[MultistageGraph] = group.problems
-    first = problems[0]
-    from ..core.solver import _graph_fits_linear_array
-
-    framed = not _graph_fits_linear_array(first)
-    targets = [add_virtual_terminals(g) if framed else g for g in problems]
-    num_layers = targets[0].num_layers
-    mats = [
+def _prepare_pipelined(group: Group) -> list[np.ndarray]:
+    graphs: list[MultistageGraph] = group.problems
+    _, framed = route(graphs[0], group.recommendations[0], "pipelined")
+    targets = [add_virtual_terminals(g) if framed else g for g in graphs]
+    return [
         np.stack([np.asarray(t.costs[k]) for t in targets])
-        for k in range(num_layers)
+        for k in range(targets[0].num_layers)
     ]
-    return {
-        "kind": "pipelined",
-        "semiring": first.semiring.name,
-        "mats": mats,  # list of (B, rows, cols); last is the (B, m, 1) sink column
-        "recommendations": list(group.recommendations),
-    }
 
 
 def slice_payload(payload: dict[str, Any], start: int, stop: int) -> dict[str, Any]:
     """The payload restricted to batch rows ``[start, stop)`` (views, no copy)."""
     out = dict(payload)
-    for field in ("layers", "mats"):
-        if field in out:
-            out[field] = [a[start:stop] for a in out[field]]
+    if "operands" in out:
+        out["operands"] = [a[start:stop] for a in out["operands"]]
     if "recommendations" in out:
         out["recommendations"] = out["recommendations"][start:stop]
     if "problems" in out:
@@ -116,154 +93,42 @@ def slice_payload(payload: dict[str, Any], start: int, stop: int) -> dict[str, A
 def run_payload(payload: dict[str, Any]) -> list[SolveReport]:
     """Execute one payload, returning per-instance solve reports in order."""
     kind = payload["kind"]
-    if kind == "feedback":
-        return _run_feedback(payload)
-    if kind == "pipelined":
-        return _run_pipelined(payload)
     if kind == "scalar":
-        return _run_scalar(payload)
-    raise ValueError(f"unknown payload kind {kind!r}")
+        from ..core.solver import solve
 
-
-def _run_feedback(payload: dict[str, Any]) -> list[SolveReport]:
+        kwargs = dict(payload.get("solve_kwargs", {}))
+        return [solve(p, **kwargs) for p in payload["problems"]]
     sr = by_name(payload["semiring"])
-    if sr.add_argreduce is None:  # pragma: no cover - all stock semirings have one
-        raise GraphError(f"semiring {sr.name!r} has no arg-reduction")
-    n_stages = int(payload["n_stages"])
-    m = int(payload["m"])
-    layers = [sr.asarray(a) for a in payload["layers"]]
-    recs = payload["recommendations"]
-    batch = layers[0].shape[0] if layers else len(recs)
-
-    # Stage recurrence with a leading batch axis; per batch row this is
-    # exactly the unbatched ``mul(h[:, None], C)`` reduced along axis 0.
-    h = np.full((batch, m), sr.one, dtype=float)
-    preds: dict[int, np.ndarray] = {}
-    for k in range(2, n_stages + 1):
-        cand = sr.mul(h[:, :, None], layers[k - 2])
-        preds[k] = np.asarray(sr.add_argreduce(cand, axis=1), dtype=np.intp)
-        h = sr.add_reduce(cand, axis=1)
-    optima = sr.add_reduce(h, axis=1)
-    best_final = np.asarray(sr.add_argreduce(h, axis=1), dtype=np.intp)
-
-    total_iterations = (n_stages + 1) * m
-    serial_ops = (n_stages - 1) * m * m + m
-    ops = tuple((n_stages - 1) * m + (m - i) for i in range(m))
-    report = RunReport(
-        design="fig5-feedback",
-        num_pes=m,
-        iterations=total_iterations,
-        wall_ticks=total_iterations,
-        pe_busy_ticks=ops,
-        pe_op_counts=ops,
-        serial_ops=serial_ops,
-        input_words=n_stages * m,
-        output_words=m + 1,
-        broadcast_words=2 * n_stages * m,
-        backend="fast",
-    )
-
-    reports: list[SolveReport] = []
-    for b in range(batch):
-        optimum = float(optima[b])
-        nodes = [0] * n_stages
-        nodes[n_stages - 1] = int(best_final[b])
-        for k in range(n_stages, 1, -1):
-            nodes[k - 2] = int(preds[k][b, nodes[k - 1]])
-        path = StagePath(nodes=tuple(nodes), cost=optimum)
-        detail = FeedbackArrayResult(
+    operands = payload["operands"]
+    results: list[Any]
+    if kind == "feedback":
+        results = FeedbackSystolicArray(sr).run_fast_batch(operands)
+        method = "fig5-feedback-array"
+        answers = [(res.optimum, res.path) for res in results]
+    elif kind == "pipelined":
+        # The last operand is the sink column; the lane takes it as a vector.
+        results = PipelinedMatrixStringArray(sr).run_fast_batch(
+            operands[:-1], operands[-1][:, :, 0]
+        )
+        method = "fig3-pipelined-array"
+        answers = [
+            (float(sr.add_reduce(np.asarray(res.value), axis=None)), res.value)
+            for res in results
+        ]
+    else:
+        raise ValueError(f"unknown payload kind {kind!r}")
+    return [
+        SolveReport(
+            dp_class=rec.dp_class,
+            method=method,
             optimum=optimum,
-            path=path,
-            final_stage_values=sr.asarray(h[b]),
-            report=report,
+            reference=optimum,
+            validated=True,
+            solution=solution,
+            detail=res,
+            recommendation=rec,
         )
-        rec = recs[b]
-        reports.append(
-            SolveReport(
-                dp_class=rec.dp_class,
-                method="fig5-feedback-array",
-                optimum=optimum,
-                reference=optimum,
-                validated=True,
-                solution=path,
-                detail=detail,
-                recommendation=rec,
-            )
+        for rec, res, (optimum, solution) in zip(
+            payload["recommendations"], results, answers
         )
-    return reports
-
-
-def _run_pipelined(payload: dict[str, Any]) -> list[SolveReport]:
-    sr = by_name(payload["semiring"])
-    mats = [sr.asarray(a) for a in payload["mats"]]
-    recs = payload["recommendations"]
-    batch = mats[0].shape[0]
-
-    # Mirror ``_normalize_string``: the last operand is the sink column.
-    vec = mats[-1][:, :, 0]  # (B, m)
-    m = vec.shape[1]
-    chain = mats[:-1]
-    value = vec
-    for a in reversed(chain):
-        value = batched_matvec(sr, a, value)
-    is_row_vector = chain[0].shape[1] == 1 and m > 1
-
-    num_phases = len(chain)
-    serial_ops = int(sum(a.shape[1] * a.shape[2] for a in chain))
-    ops = [0] * m
-    for phase in range(num_phases):
-        a = chain[num_phases - 1 - phase]
-        if a.shape[1] == 1 and m > 1:
-            if phase % 2 == 0:
-                ops[0] += m
-            else:
-                for i in range(m):
-                    ops[i] += 1
-        else:
-            for i in range(m):
-                ops[i] += m
-    out_words = 1 if is_row_vector else int(value.shape[1])
-    report = RunReport(
-        design="fig3-pipelined",
-        num_pes=m,
-        iterations=num_phases * m,
-        wall_ticks=num_phases * m + (m - 1),
-        pe_busy_ticks=tuple(ops),
-        pe_op_counts=tuple(ops),
-        serial_ops=serial_ops,
-        input_words=m + serial_ops,
-        output_words=out_words,
-        broadcast_words=0,
-        backend="fast",
-    )
-
-    reports: list[SolveReport] = []
-    for b in range(batch):
-        if is_row_vector:
-            inst_value = sr.asarray(float(value[b, 0]))
-        else:
-            inst_value = sr.asarray(value[b])
-        optimum = float(sr.add_reduce(np.asarray(inst_value), axis=None))
-        detail = PipelinedArrayResult(value=inst_value, report=report)
-        rec = recs[b]
-        reports.append(
-            SolveReport(
-                dp_class=rec.dp_class,
-                method="fig3-pipelined-array",
-                optimum=optimum,
-                reference=optimum,
-                validated=True,
-                solution=inst_value,
-                detail=detail,
-                recommendation=rec,
-            )
-        )
-    return reports
-
-
-def _run_scalar(payload: dict[str, Any]) -> list[SolveReport]:
-    """Loop ``solve()`` over a scalar group (shipped or in-process)."""
-    from ..core.solver import solve
-
-    kwargs = dict(payload.get("solve_kwargs", {}))
-    return [solve(p, **kwargs) for p in payload["problems"]]
+    ]

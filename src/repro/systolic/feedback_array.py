@@ -36,17 +36,20 @@ stores it in the stage's *path register* as the pair completes, and the
 run traces the registers back into a full :class:`~repro.graphs.StagePath`
 — the paper's ``N`` path registers of ``m`` indices each.
 
-The fast backend materializes each layer's cost matrix and performs the
-stage recurrence ``h_k = h_{k-1} ⊗ C_{k-1}`` as one whole-array semiring
-reduction per stage (with ``add_argreduce`` standing in for the path
-registers), then reports the schedule's closed-form counters: the same
-``(N+1)·m`` iterations, ``(N−1)·m² + m`` serial ops, and bus traffic.
+The fast backend (:meth:`FeedbackSystolicArray.run_fast_batch`)
+materializes each layer's cost matrix and performs the stage recurrence
+``h_k = h_{k-1} ⊗ C_{k-1}`` as one whole-array semiring reduction per
+stage (with ``add_argreduce`` standing in for the path registers), then
+reports the schedule's closed-form counters: the same ``(N+1)·m``
+iterations, ``(N−1)·m² + m`` serial ops, and bus traffic.  It takes a
+leading batch axis, so one call also carries a whole group of same-shape
+instances for the batch engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -165,7 +168,9 @@ class FeedbackSystolicArray:
                 problem, n_stages, m, record_trace=record_trace, sinks=sinks,
                 injector=injector, observe=bool(observe), strict=strict,
             ),
-            fast=lambda: self._run_fast(problem, n_stages, m),
+            fast=lambda: self.run_fast_batch(
+                [problem.cost_matrix(k)[None] for k in range(n_stages - 1)]
+            )[0],
             validate=self._validate,
             design=self.design_name,
         )
@@ -370,32 +375,35 @@ class FeedbackSystolicArray:
     # ------------------------------------------------------------------
     # Fast backend
     # ------------------------------------------------------------------
-    def _run_fast(
-        self, problem: NodeValueProblem, n_stages: int, m: int
-    ) -> FeedbackArrayResult:
-        sr = self.sr
-        # Stage recurrence: h_1 = 1̄; h_k[j] = ⊕_i h_{k-1}[i] ⊗ C[i, j].
-        # The argreduce along the predecessor axis is exactly the path
-        # register: the first PE index achieving the folded optimum, the
-        # same tie-break as the moving pair's strict-improvement update.
-        h = np.full(m, sr.one, dtype=float)
-        preds: dict[int, np.ndarray] = {}
-        for k in range(2, n_stages + 1):
-            cand = sr.mul(h[:, None], problem.cost_matrix(k - 2))
-            preds[k] = np.asarray(sr.add_argreduce(cand, axis=0), dtype=np.intp)
-            h = sr.add_reduce(cand, axis=0)
-        final_h = sr.asarray(h)
-        optimum = float(sr.add_reduce(h))
-        best_final_index = int(sr.add_argreduce(h))
+    def run_fast_batch(self, layers: Sequence[np.ndarray]) -> list[FeedbackArrayResult]:
+        """The fast lane over a stack of ``B`` same-shape instances.
 
-        nodes = [0] * n_stages
-        nodes[n_stages - 1] = best_final_index
-        for k in range(n_stages, 1, -1):
-            nodes[k - 2] = int(preds[k][nodes[k - 1]])
-        path = StagePath(nodes=tuple(nodes), cost=optimum)
+        ``layers[k]`` holds the ``(B, m, m)`` cost matrices between
+        stages ``k+1`` and ``k+2`` of every instance.  ``run(...,
+        backend="fast")`` is this call with ``B = 1``; the batch engine
+        (:mod:`repro.exec`) makes it with a whole group, so both report
+        the same values, paths and counters.  Returns one result per
+        batch row, all sharing the schedule's closed-form report.
+        """
+        sr = self.sr
+        cost = [sr.asarray(c) for c in layers]
+        batch, m = cost[0].shape[:2]
+        n_stages = len(cost) + 1
+        # Stage recurrence: h_1 = 1̄; h_k[j] = ⊕_i h_{k-1}[i] ⊗ C[i, j],
+        # reduced along the predecessor axis of each batch row.  The
+        # argreduce there is exactly the path register: the first PE
+        # index achieving the folded optimum, the same tie-break as the
+        # moving pair's strict-improvement update.
+        h = np.full((batch, m), sr.one, dtype=float)
+        preds: list[np.ndarray] = []
+        for c in cost:
+            cand = sr.mul(h[:, :, None], c)
+            preds.append(np.asarray(sr.add_argreduce(cand, axis=1), dtype=np.intp))
+            h = sr.add_reduce(cand, axis=1)
+        optima = sr.add_reduce(h, axis=1)
+        best_final = np.asarray(sr.add_argreduce(h, axis=1), dtype=np.intp)
 
         total_iterations = (n_stages + 1) * m
-        serial_ops = (n_stages - 1) * m * m + m
         # Every PE serves all m pairs of stages 2..N; of the final F = 0
         # sweep, pair j reaches PE i only while N·m + j + i ≤ (N+1)·m,
         # i.e. PE i sees m − i of them before the schedule ends.
@@ -407,15 +415,25 @@ class FeedbackSystolicArray:
             wall_ticks=total_iterations,
             pe_busy_ticks=ops,
             pe_op_counts=ops,
-            serial_ops=serial_ops,
+            serial_ops=(n_stages - 1) * m * m + m,
             input_words=n_stages * m,
             output_words=m + 1,
             broadcast_words=2 * n_stages * m,
             backend="fast",
         )
-        return FeedbackArrayResult(
-            optimum=optimum,
-            path=path,
-            final_stage_values=final_h,
-            report=report,
-        )
+
+        results: list[FeedbackArrayResult] = []
+        for b in range(batch):
+            nodes = [int(best_final[b])]
+            for pred in reversed(preds):
+                nodes.append(int(pred[b, nodes[-1]]))
+            optimum = float(optima[b])
+            results.append(
+                FeedbackArrayResult(
+                    optimum=optimum,
+                    path=StagePath(nodes=tuple(reversed(nodes)), cost=optimum),
+                    final_stage_values=sr.asarray(h[b]),
+                    report=report,
+                )
+            )
+        return results

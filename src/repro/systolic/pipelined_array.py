@@ -27,21 +27,22 @@ cycle-accurate within each phase (two-phase register semantics), phases
 stitched with the exact data hand-offs of the overlapped schedule (MOVE
 for A→B, the P_m→P_1 feedback stream for B→A), so computed values and
 per-PE iteration counts match the hardware exactly.  The fast backend
-evaluates the same string with whole-array semiring reductions
-(:func:`repro.semiring.matvec`) and reports the schedule's closed-form
-counters; ``backend="auto"`` cross-validates the two on small instances.
+(:meth:`PipelinedMatrixStringArray.run_fast_batch`) evaluates the same
+string with whole-array semiring reductions over a leading batch axis
+and reports the schedule's closed-form counters; ``backend="auto"``
+cross-validates the two on small instances.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..graphs import MultistageGraph
 from ..semiring import MIN_PLUS, Semiring
-from ..semiring.matrix import matvec
+from ..semiring.matrix import batched_matvec
 from .fabric import (
     BackendMismatch,
     RunReport,
@@ -180,7 +181,7 @@ class PipelinedMatrixStringArray:
                 mats, vec, m, record_trace=record_trace, sinks=sinks,
                 injector=injector, observe=bool(observe), strict=strict,
             ),
-            fast=lambda: self._run_fast(mats, vec, m),
+            fast=lambda: self.run_fast_batch([a[None] for a in mats], vec[None])[0],
             validate=self._validate,
             design=self.design_name,
         )
@@ -296,31 +297,36 @@ class PipelinedMatrixStringArray:
     # ------------------------------------------------------------------
     # Fast backend
     # ------------------------------------------------------------------
-    def _run_fast(
-        self, mats: list[np.ndarray], vec: np.ndarray, m: int
-    ) -> PipelinedArrayResult:
-        """Whole-array evaluation: right-to-left semiring mat-vec chain.
+    def run_fast_batch(
+        self, mats: Sequence[np.ndarray], vec: np.ndarray
+    ) -> list[PipelinedArrayResult]:
+        """The fast lane over a stack of ``B`` same-shape matrix strings.
 
-        Values come from :func:`repro.semiring.matvec`; the report's
-        counters are the overlapped schedule's closed forms — ``m``
-        iterations per phase, an ``m−1``-tick drain, one input word per
-        matrix element plus the initial vector — which the cross-backend
-        fuzz suite checks against the RTL machine.
+        ``mats`` are the string's operands left of the sink vector, each
+        ``(B, rows, cols)``; ``vec`` is the ``(B, m)`` stack of sink
+        vectors.  Values come from a right-to-left
+        :func:`repro.semiring.batched_matvec` chain, which per batch row
+        is exactly the unbatched :func:`repro.semiring.matvec`.  The
+        report's counters are the overlapped schedule's closed forms —
+        ``m`` iterations per phase, an ``m−1``-tick drain, one input word
+        per matrix element plus the initial vector — which the
+        cross-backend fuzz suite checks against the RTL machine.
+        ``run(..., backend="fast")`` is this call with ``B = 1``; the
+        batch engine (:mod:`repro.exec`) makes it with a whole group.
         """
         sr = self.sr
-        num_phases = len(mats)
-        value = np.asarray(vec)
-        for mat in reversed(mats):
-            value = matvec(sr, mat, value)
-        is_row_vector = mats[0].shape[0] == 1 and m > 1
-        if is_row_vector:
-            value = sr.asarray(float(value[0]))
-        serial_ops = sum(int(mm.shape[0]) * int(mm.shape[1]) for mm in mats)
+        chain = [sr.asarray(a) for a in mats]
+        value = sr.asarray(vec)
+        m = value.shape[1]
+        for a in reversed(chain):
+            value = batched_matvec(sr, a, value)
+        is_row_vector = chain[0].shape[1] == 1 and m > 1
+        num_phases = len(chain)
+        serial_ops = sum(int(a.shape[1]) * int(a.shape[2]) for a in chain)
 
         ops = [0] * m
         for phase in range(num_phases):
-            mat = mats[num_phases - 1 - phase]
-            if mat.shape[0] == 1 and m > 1:
+            if chain[num_phases - 1 - phase].shape[1] == 1 and m > 1:
                 if phase % 2 == 0:  # moving input: P1 alone does all m steps
                     ops[0] += m
                 else:  # one moving partial visits every PE once
@@ -339,11 +345,17 @@ class PipelinedMatrixStringArray:
             pe_op_counts=tuple(ops),
             serial_ops=serial_ops,
             input_words=m + serial_ops,
-            output_words=int(np.asarray(value).size),
+            output_words=1 if is_row_vector else m,
             broadcast_words=0,
             backend="fast",
         )
-        return PipelinedArrayResult(value=value, report=report)
+        return [
+            PipelinedArrayResult(
+                value=sr.asarray(float(row[0])) if is_row_vector else row,
+                report=report,
+            )
+            for row in value
+        ]
 
     def run_graph(
         self,

@@ -191,3 +191,38 @@ class TestBackendThreading:
 
         with pytest.raises(SystolicError):
             solve(fig1a_graph(), backend="gpu")
+
+
+class TestRouting:
+    """``solve()`` and ``solve_batch()`` share one routing rule, so they
+    reject the same inputs with the same error."""
+
+    def test_unknown_prefer_rejected_by_solve(self):
+        with pytest.raises(ValueError, match="quantum") as err:
+            solve(fig1a_graph(), prefer="quantum")
+        for name in ("pipelined", "broadcast", "sequential", "dnc", "systolic"):
+            assert name in str(err.value)
+
+    def test_unknown_prefer_rejected_by_solve_batch(self, rng):
+        from repro import solve_batch
+
+        probs = [traffic_light_problem(rng, 4, 3), fig1a_graph()]
+        with pytest.raises(ValueError, match="quantum") as err:
+            solve_batch(probs, prefer="quantum")
+        for name in ("pipelined", "broadcast", "sequential", "dnc", "systolic"):
+            assert name in str(err.value)
+
+    def test_unknown_prefer_rejected_for_chains(self):
+        with pytest.raises(ValueError, match="quantum"):
+            solve(MatrixChainProblem((10, 20, 5)), prefer="quantum")
+
+    def test_plus_times_graph_rejected_by_both_entry_points(self, rng):
+        from repro import solve_batch
+        from repro.graphs import single_source_sink
+        from repro.semiring import PLUS_TIMES
+
+        g = single_source_sink(rng, 5, 4, semiring=PLUS_TIMES)
+        with pytest.raises(ValueError, match="does not support decision extraction"):
+            solve(g, backend="fast")
+        with pytest.raises(ValueError, match="does not support decision extraction"):
+            solve_batch([g, g])

@@ -1,12 +1,11 @@
-"""Eq.-29 shard planning, process-pool execution, and report pickling.
+"""Even sharding, process-pool execution, and report pickling.
 
-``plan_shards`` is the paper's granularity result turned scheduler: the
-computation shards carry ``T_c = ceil((n-1)/K)``-ish equal loads and the
-wind-down tail halves (eq. 29's ``T_w = log2`` term).  The pool tests
-pin the engine contract — sharded execution is bit-identical to
-in-process execution — and the pickle round-trips are what make the
-pool possible at all: every report (including nested fault and hazard
-payloads) must survive a worker boundary unchanged.
+A shardable group splits evenly into ``min(workers, len(group))``
+contiguous shards.  The pool tests pin the engine contract — sharded
+execution is bit-identical to in-process execution — and the pickle
+round-trips are what make the pool possible at all: every report
+(including nested fault and hazard payloads) must survive a worker
+boundary unchanged.
 """
 
 from __future__ import annotations
@@ -17,60 +16,38 @@ import numpy as np
 import pytest
 
 from repro import MatrixChainProblem, solve, solve_batch
-from repro.dnc import kt2, plan_shards, schedule_time
+from repro.exec.engine import _even_shards
 from repro.faults import FaultPlan, FaultSpec
 from repro.graphs import random_multistage, traffic_light_problem, uniform_multistage
 
 from .test_exec_batch import assert_same_report
 
 
+def _sizes(offsets):
+    return [hi - lo for lo, hi in offsets]
+
+
 class TestPlanShards:
     @pytest.mark.parametrize("n,workers", [(1, 1), (7, 2), (64, 2), (257, 4), (1000, 8)])
     def test_sizes_partition_the_items(self, n, workers):
-        plan = plan_shards(n, workers)
-        assert sum(plan.sizes) == n
-        assert all(s > 0 for s in plan.sizes)
-        offsets = plan.offsets()
+        offsets = _even_shards(n, workers)
+        assert len(offsets) == min(n, workers)
+        assert sum(_sizes(offsets)) == n
+        assert all(s > 0 for s in _sizes(offsets))
         assert offsets[0][0] == 0 and offsets[-1][1] == n
         for (_, hi), (lo, _) in zip(offsets, offsets[1:]):
             assert hi == lo
 
-    def test_kt2_strategy_minimizes_kt2_over_worker_range(self):
-        n, workers = 256, 4
-        plan = plan_shards(n, workers)
-        assert plan.kt2 == min(kt2(n, k) for k in range(1, workers + 1))
-        assert plan.schedule == schedule_time(n, plan.num_workers)
-
-    def test_kt2_wind_down_tail_halves(self):
-        plan = plan_shards(257, 4)
-        # Computation shards all carry T_c items; the residue drains in
-        # halving steps, eq. 29's log2 wind-down.
-        t_c = plan.schedule.computation
-        head = [s for s in plan.sizes if s == t_c]
-        tail = plan.sizes[len(head):]
-        assert sum(tail) == 257 - t_c * len(head)
-        for a, b in zip(tail, tail[1:]):
-            assert b <= a
-
     def test_even_strategy_splits_equally(self):
-        plan = plan_shards(100, 4, strategy="even")
-        assert plan.sizes == (25, 25, 25, 25)
-        plan = plan_shards(10, 3, strategy="even")
-        assert sum(plan.sizes) == 10
-        assert max(plan.sizes) - min(plan.sizes) <= 1
+        assert _sizes(_even_shards(100, 4)) == [25, 25, 25, 25]
+        # One payload per worker: two shards of 32, not (31, 31, 1, 1).
+        assert _sizes(_even_shards(64, 2)) == [32, 32]
+        sizes = _sizes(_even_shards(10, 3))
+        assert sum(sizes) == 10
+        assert max(sizes) - min(sizes) <= 1
 
     def test_zero_items_empty_plan(self):
-        plan = plan_shards(0, 4)
-        assert plan.sizes == ()
-        assert plan.offsets() == ()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_shards(-1, 2)
-        with pytest.raises(ValueError):
-            plan_shards(4, 0)
-        with pytest.raises(ValueError):
-            plan_shards(4, 2, strategy="bogus")
+        assert _even_shards(0, 4) == []
 
 
 class TestShardedExecution:
@@ -99,11 +76,10 @@ class TestShardedExecution:
         assert result.stats.shards == 0
 
     def test_even_strategy_end_to_end(self, rng):
-        probs = [traffic_light_problem(rng, 5, 4) for _ in range(16)]
-        result = solve_batch(
-            probs, workers=2, min_shard_items=8, shard_strategy="even"
-        )
-        assert result.stats.shard_strategy == "even"
+        probs = [traffic_light_problem(rng, 5, 4) for _ in range(17)]
+        result = solve_batch(probs, workers=2, min_shard_items=8)
+        # min(workers, len(group)) shards, sizes differing by at most one.
+        assert result.stats.shard_sizes == (9, 8)
         for rep, problem in zip(result, probs):
             assert_same_report(rep, solve(problem, backend="fast"))
 
