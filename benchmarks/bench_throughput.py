@@ -1,16 +1,15 @@
 """THROUGHPUT — the batch engine vs. a looped ``solve()``.
 
 The paper's arrays are throughput devices: Section 4 feeds the Fig. 3
-pipeline a *stream* of matrix strings and eq. 29 sizes the process count
-for a stream of subproblems.  :func:`repro.exec.solve_batch` implements
-that reading in software — the arrays' own fast lanes run over stacked
-instances, even process sharding and a digest-keyed solve cache — and
-this module measures each level against the baseline everyone would
-write first: a Python loop over :func:`repro.solve`.
+pipeline a *stream* of matrix strings.  :func:`repro.exec.solve_batch`
+implements that reading in software — the arrays' own fast lanes run
+over stacked instances, plus a digest-keyed solve cache — and this
+module measures both against the baseline everyone would write first:
+a Python loop over :func:`repro.solve`.
 
 Reproduced artifact: ``BENCH_throughput.json`` with
 
-* looped vs. batched vs. sharded wall-clock curves over batch sizes,
+* looped vs. batched wall-clock curves over batch sizes,
 * the acceptance floor — batched ≥ 5x over looped at batch 64 of
   same-shape monadic-serial instances (fast backend, single process),
 * second-pass cache stats (must be all hits, zero misses).
@@ -20,9 +19,7 @@ The checked-in copy under ``benchmarks/results/`` is regenerated with::
     PYTHONPATH=src python benchmarks/bench_throughput.py
 
 (``--quick`` trims the batch-size grid; ``--out DIR`` redirects the
-record.)  Note this container is 1-CPU: the sharded rows are recorded
-honestly (pool overhead and no parallel speedup); on a multi-core host
-the sharded column wins for large batches.
+record.)
 """
 
 from __future__ import annotations
@@ -48,8 +45,8 @@ def _problems(rng: np.random.Generator, batch: int) -> list:
     return [traffic_light_problem(rng, N_STAGES, M_VALUES) for _ in range(batch)]
 
 
-def _measure(batch_sizes: tuple[int, ...], workers: int) -> dict:
-    """Looped / batched / sharded walls plus cache stats per batch size."""
+def _measure(batch_sizes: tuple[int, ...]) -> list[dict]:
+    """Looped / batched walls plus cache stats per batch size."""
     rng = np.random.default_rng(0xBEEF)
     solve_batch(_problems(rng, 2))  # warm imports out of the timed region
     rows = []
@@ -67,13 +64,6 @@ def _measure(batch_sizes: tuple[int, ...], workers: int) -> dict:
             assert rep.optimum == ref.optimum
             assert rep.solution.nodes == ref.solution.nodes
 
-        start = time.perf_counter()
-        sharded = solve_batch(probs, workers=workers, min_shard_items=16)
-        sharded_s = time.perf_counter() - start
-        assert all(
-            rep.optimum == ref.optimum
-            for rep, ref in zip(sharded.reports, looped)
-        )
 
         cache = SolveCache(capacity=2 * batch)
         solve_batch(probs, cache=cache)
@@ -84,36 +74,30 @@ def _measure(batch_sizes: tuple[int, ...], workers: int) -> dict:
                 "batch": batch,
                 "looped_seconds": looped_s,
                 "batched_seconds": batched_s,
-                "sharded_seconds": sharded_s,
                 "batched_speedup": looped_s / batched_s,
-                "sharded_speedup": looped_s / sharded_s,
                 "fill_factor": batched.stats.fill_factor,
-                "shards": sharded.stats.shards,
                 "second_pass_cache_hits": second.stats.cache_hits,
                 "second_pass_cache_misses": second.stats.executed,
             }
         )
-    return {"workers": workers, "rows": rows}
+    return rows
 
 
-def _render(measured: dict) -> None:
+def _render(rows: list[dict]) -> None:
     print_table(
-        f"solve_batch throughput, {N_STAGES} stages x {M_VALUES} values "
-        f"(workers={measured['workers']})",
-        ["batch", "looped s", "batched s", "sharded s", "batched x",
-         "sharded x", "2nd-pass hits"],
+        f"solve_batch throughput, {N_STAGES} stages x {M_VALUES} values",
+        ["batch", "looped s", "batched s", "batched x", "2nd-pass hits"],
         [
             [r["batch"], f"{r['looped_seconds']:.4f}",
-             f"{r['batched_seconds']:.4f}", f"{r['sharded_seconds']:.4f}",
-             f"{r['batched_speedup']:.1f}", f"{r['sharded_speedup']:.1f}",
+             f"{r['batched_seconds']:.4f}", f"{r['batched_speedup']:.1f}",
              f"{r['second_pass_cache_hits']}/{r['batch']}"]
-            for r in measured["rows"]
+            for r in rows
         ],
     )
 
 
-def _record(measured: dict, out_dir: pathlib.Path) -> pathlib.Path:
-    floor = next(r for r in measured["rows"] if r["batch"] >= 64)
+def _record(rows: list[dict], out_dir: pathlib.Path) -> pathlib.Path:
+    floor = next(r for r in rows if r["batch"] >= 64)
     return write_bench_record(
         "throughput",
         design="batch-engine",
@@ -124,8 +108,7 @@ def _record(measured: dict, out_dir: pathlib.Path) -> pathlib.Path:
         iterations=floor["batch"],
         pu=floor["fill_factor"],
         extra={
-            "workers": measured["workers"],
-            "curves": measured["rows"],
+            "curves": rows,
             "batched_speedup_at_64": floor["batched_speedup"],
         },
         out_dir=out_dir,
@@ -133,14 +116,14 @@ def _record(measured: dict, out_dir: pathlib.Path) -> pathlib.Path:
 
 
 def test_throughput(tmp_path):
-    measured = _measure(QUICK_BATCH_SIZES, workers=2)
-    _render(measured)
-    _record(measured, tmp_path)
-    floor = next(r for r in measured["rows"] if r["batch"] >= 64)
+    rows = _measure(QUICK_BATCH_SIZES)
+    _render(rows)
+    _record(rows, tmp_path)
+    floor = next(r for r in rows if r["batch"] >= 64)
     assert floor["batched_speedup"] >= 5.0, (
         f"batched only {floor['batched_speedup']:.1f}x over looped solve()"
     )
-    for row in measured["rows"]:
+    for row in rows:
         assert row["second_pass_cache_hits"] == row["batch"]
         assert row["second_pass_cache_misses"] == 0
 
@@ -152,21 +135,17 @@ def main() -> None:
         help="trim the batch-size grid to its first two points",
     )
     parser.add_argument(
-        "--workers", type=int, default=2,
-        help="pool size for the sharded column (default: 2)",
-    )
-    parser.add_argument(
         "--out", default=None,
         help="directory for BENCH_throughput.json (default: benchmarks/results)",
     )
     args = parser.parse_args()
     sizes = QUICK_BATCH_SIZES if args.quick else BATCH_SIZES
-    measured = _measure(sizes, workers=args.workers)
-    _render(measured)
+    rows = _measure(sizes)
+    _render(rows)
     out_dir = pathlib.Path(args.out) if args.out else RESULTS_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = _record(measured, out_dir)
-    floor = next(r for r in measured["rows"] if r["batch"] >= 64)
+    path = _record(rows, out_dir)
+    floor = next(r for r in rows if r["batch"] >= 64)
     print(f"\nwrote {path} (batched {floor['batched_speedup']:.1f}x at batch 64)")
 
 

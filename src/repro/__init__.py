@@ -30,7 +30,7 @@ Subpackages
 ``repro.core``      — classification, Table-1 dispatch ``solve()``, metrics.
 ``repro.telemetry`` — trace-bus observability: metrics, timelines, exporters.
 ``repro.faults``    — fault injection, ABFT detection, recovery policies.
-``repro.exec``      — batch engine: stacked fast lanes, even sharding, solve cache.
+``repro.exec``      — batch engine: stacked fast lanes and a solve cache.
 """
 
 from . import (

@@ -11,10 +11,10 @@ Small demonstration front-end over the library:
   [--backend B]`` — time any of the five array designs on a random
   instance, per backend, and optionally write uniform ``BENCH_*.json``
   records (the CI smoke step and the perf-trajectory corpus).
-* ``python -m repro batch [--kind K] [--batch B] [--workers W]`` —
-  throughput demo of the batch engine (:mod:`repro.exec`): solve a
-  random batch with ``solve_batch`` and a looped ``solve()``, print the
-  speedup, grouping/sharding stats and second-pass cache hit rate.
+* ``python -m repro batch [--kind K] [--batch B]`` — throughput demo
+  of the batch engine (:mod:`repro.exec`): solve a random batch with
+  ``solve_batch`` and a looped ``solve()``, print the speedup, grouping
+  stats and second-pass cache hit rate.
 * ``python -m repro trace --design D [--export chrome|json|ascii]`` —
   run one design with telemetry sinks subscribed and export a
   Chrome-trace/Perfetto JSON, a full run record (report + events +
@@ -408,13 +408,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     cache = SolveCache(capacity=max(2 * args.batch, 64))
     start = time.perf_counter()
-    result = solve_batch(
-        problems,
-        backend=args.backend,
-        workers=args.workers,
-        cache=cache,
-        min_shard_items=args.min_shard_items,
-    )
+    result = solve_batch(problems, backend=args.backend, cache=cache)
     batched_wall = time.perf_counter() - start
     for rep, ref in zip(result.reports, looped):
         if rep.optimum != ref.optimum:
@@ -427,7 +421,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     speedup = looped_wall / batched_wall if batched_wall > 0 else float("inf")
     print(
         f"batch kind={args.kind} B={args.batch} n={args.n} m={args.m} "
-        f"backend={stats.backend} workers={stats.workers}"
+        f"backend={stats.backend}"
     )
     print(
         f"  looped solve(): {looped_wall:.4f}s "
@@ -439,7 +433,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     print(
         f"  groups={stats.groups} vectorized={stats.vectorized_groups} "
-        f"fill={stats.fill_factor:.2f} shards={stats.shards}"
+        f"fill={stats.fill_factor:.2f}"
     )
     print(
         f"  cache second pass: {second.stats.cache_hits}/{second.stats.total} hits "
@@ -453,15 +447,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             "n": args.n,
             "m": args.m,
             "backend": stats.backend,
-            "workers": stats.workers,
             "looped_wall_seconds": looped_wall,
             "batched_wall_seconds": batched_wall,
             "speedup": speedup,
             "problems_per_second": stats.problems_per_second,
             "fill_factor": stats.fill_factor,
             "groups": stats.groups,
-            "shards": stats.shards,
-            "shard_sizes": list(stats.shard_sizes),
             "second_pass_cache_hits": second.stats.cache_hits,
         }
         pathlib.Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
@@ -676,14 +667,6 @@ def main(argv: list[str] | None = None) -> int:
     p_batch.add_argument(
         "--backend", choices=("rtl", "fast", "auto"), default="fast",
         help="array execution engine (default: fast — the throughput engine)",
-    )
-    p_batch.add_argument(
-        "--workers", type=int, default=1,
-        help="process-pool workers for sharded groups (default: 1, in-process)",
-    )
-    p_batch.add_argument(
-        "--min-shard-items", type=int, default=64,
-        help="smallest group worth sharding across the pool (default: 64)",
     )
     p_batch.add_argument("--json", default=None, help="write a batch_cli record here")
     p_batch.set_defaults(func=_cmd_batch)

@@ -47,7 +47,7 @@ from ..systolic import (
 from .classification import DPClass, Recommendation, recommend
 from .problem import MatrixChainProblem
 
-__all__ = ["PREFER_CHOICES", "SolveReport", "route", "solve"]
+__all__ = ["PREFER_CHOICES", "SolveReport", "check_prefer", "route", "solve"]
 
 #: Architecture overrides accepted by ``solve(prefer=...)`` and
 #: ``solve_batch(prefer=...)``.
@@ -324,6 +324,14 @@ def _graph_fits_linear_array(graph: MultistageGraph) -> bool:
     return len(set(interior)) == 1
 
 
+def check_prefer(prefer: str | None) -> None:
+    """Raise ``ValueError`` unless ``prefer`` is ``None`` or in :data:`PREFER_CHOICES`."""
+    if prefer is not None and prefer not in PREFER_CHOICES:
+        raise ValueError(
+            f"unknown prefer={prefer!r}; expected one of {', '.join(PREFER_CHOICES)}"
+        )
+
+
 def route(
     problem: object, rec: Recommendation, prefer: str | None
 ) -> tuple[str, bool]:
@@ -338,14 +346,11 @@ def route(
     arrays.  ``solve()`` and the batch engine both route through here,
     so they cannot disagree on where a problem goes.
 
-    Raises ``ValueError`` for an unknown ``prefer`` and for multistage
-    problems whose semiring cannot extract decisions (the sequential
-    oracle needs an arg-reduction).
+    Raises ``ValueError`` for an unknown ``prefer`` (:func:`check_prefer`)
+    and for multistage problems whose semiring cannot extract decisions
+    (the sequential oracle needs an arg-reduction).
     """
-    if prefer is not None and prefer not in PREFER_CHOICES:
-        raise ValueError(
-            f"unknown prefer={prefer!r}; expected one of {', '.join(PREFER_CHOICES)}"
-        )
+    check_prefer(prefer)
     if isinstance(problem, MatrixChainProblem):
         return ("broadcast" if prefer == "broadcast" else "systolic"), False
     if not isinstance(problem, (NodeValueProblem, MultistageGraph)):

@@ -1,7 +1,7 @@
 """The batch execution engine: ``solve_batch()``.
 
-Throughput comes from three stacked levels, in the spirit of the
-paper's Section 4 (an array fed a *stream* of instances, not a one-shot
+Throughput comes from two stacked levels, in the spirit of the paper's
+Section 4 (an array fed a *stream* of instances, not a one-shot
 device):
 
 1. **Stacked fast lanes** — same-shape instances that ``solve()``
@@ -9,41 +9,34 @@ device):
    carried by one call of that design's own batch-native fast lane
    (:mod:`repro.exec.vectorized`), so each report is bit-identical to a
    looped :func:`repro.core.solver.solve`.
-2. **Process-pool sharding** — large groups are split evenly into
-   ``min(workers, len(group))`` contiguous shards and run across a
-   worker pool (:mod:`repro.exec.pool`).
-3. **A digest-keyed result cache** — canonical problem digest →
+2. **A digest-keyed result cache** — canonical problem digest →
    ``SolveReport`` (:mod:`repro.exec.cache`), shared with single-problem
    ``solve(cache=...)`` calls.
 
-Side-effectful runs bypass both the cache and the stacked lanes:
-``sinks`` and ``fault_plan`` force a sequential in-process loop (their
-observers must see every event of every run), while ``backend="rtl"``
-and ``strict`` runs stay cycle-accurate per instance but can still be
-sharded across workers when the problems are picklable — each worker
-builds its own machines and hazard sanitizers, so no monitor state is
-shared.
+Every group runs in-process, one payload after another
+(:func:`execute_payloads`).  Side-effectful runs bypass both the cache
+and the stacked lanes: ``sinks`` and ``fault_plan`` force a sequential
+loop of ``solve()`` (their observers must see every event of every
+run), while ``backend="rtl"`` and ``strict`` runs stay cycle-accurate
+per instance, each building its own machines and hazard sanitizers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Iterable, Sequence
+import warnings
+from typing import Any, Callable, Iterable
 
-from ..core.solver import SolveReport, solve
+from ..core.solver import SolveReport, check_prefer, solve
 from ..systolic import normalize_backend
 from .cache import SolveCache, default_cache
 from .digest import cache_key
 from .grouping import VECTORIZED_KINDS, Group, group_problems
-from .pool import ShardResult, execute_payloads
-from .vectorized import prepare_payload, run_payload, slice_payload
+# slice_payload is unused here; perfbench/tracer.py patches it on this module.
+from .vectorized import prepare_payload, run_payload, slice_payload  # noqa: F401
 
-__all__ = ["BatchResult", "BatchStats", "solve_batch"]
-
-#: Below this group size the pool's pickle + fork overhead outweighs any
-#: parallelism, so groups stay in-process.
-DEFAULT_MIN_SHARD_ITEMS = 64
+__all__ = ["BatchResult", "BatchStats", "execute_payloads", "solve_batch"]
 
 _SHARD_WALL_BUCKETS = (0.001, 0.004, 0.016, 0.064, 0.25, 1.0, 4.0)
 
@@ -61,10 +54,12 @@ class BatchStats:
     #: Share of executed problems that rode a stacked fast-lane call
     #: (1.0 = every executed instance was carried by a batched pass).
     fill_factor: float
-    shards: int  # payloads dispatched to the worker pool
+    #: Always 0 / ``()``: every group runs in-process.  Kept only
+    #: because the repository benchmark (``perfbench/``) reads them.
+    shards: int
     shard_sizes: tuple[int, ...]
+    #: Wall time of each executed payload (one per group).
     per_shard_seconds: tuple[float, ...]
-    workers: int
     backend: str
     wall_seconds: float
 
@@ -99,9 +94,6 @@ def _publish_metrics(registry: Any, stats: BatchStats) -> None:
     registry.counter(
         "repro_batch_cache_misses_total", "Batch problems actually executed"
     ).labels().inc(stats.executed)
-    registry.counter(
-        "repro_batch_shards_total", "Payload shards dispatched to the worker pool"
-    ).labels().inc(stats.shards)
     registry.gauge(
         "repro_batch_problems_per_second",
         "Throughput of the most recent solve_batch call",
@@ -113,7 +105,7 @@ def _publish_metrics(registry: Any, stats: BatchStats) -> None:
     ).labels().set(stats.fill_factor)
     hist = registry.histogram(
         "repro_batch_shard_wall_seconds",
-        "Wall time of each executed shard/group payload",
+        "Wall time of each executed group payload",
         (),
         buckets=_SHARD_WALL_BUCKETS,
     ).labels()
@@ -133,7 +125,6 @@ def solve_batch(
     fault_plan: Any = None,
     recovery: str = "retry",
     registry: Any = None,
-    min_shard_items: int = DEFAULT_MIN_SHARD_ITEMS,
 ) -> BatchResult:
     """Solve a batch of problems, returning reports in batch order.
 
@@ -141,18 +132,28 @@ def solve_batch(
     paths — to calling :func:`repro.core.solver.solve` on each problem
     with the same ``prefer``/``backend``; only the execution strategy
     differs.  ``backend`` defaults to ``"fast"`` (unlike ``solve()``):
-    a batch engine exists for throughput.
+    a batch engine exists for throughput.  An unknown ``prefer`` raises
+    the same ``ValueError`` as ``solve()``, even for an empty batch.
 
     ``cache`` is a :class:`~repro.exec.cache.SolveCache`, or ``True``
     for the process-wide default cache.  Runs with ``sinks``,
     ``fault_plan``, ``backend="rtl"`` or ``strict`` bypass it entirely
-    (every instance re-executes).  ``workers > 1`` splits each group of
-    at least ``min_shard_items`` problems evenly into
-    ``min(workers, len(group))`` shards run on a process pool.
-    ``registry`` (a
+    (every instance re-executes).  ``registry`` (a
     :class:`~repro.telemetry.MetricsRegistry`) receives the throughput
     counters described in ``docs/scaling.md``.
+
+    ``workers`` has no effect: every group runs in-process.  Any value
+    other than 1 emits a ``DeprecationWarning``.  The keyword is kept
+    only until the repository benchmark (``perfbench/``) stops passing
+    it.
     """
+    check_prefer(prefer)
+    if workers != 1:
+        warnings.warn(
+            "solve_batch(workers=) has no effect: every group runs in-process",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     problem_list = list(problems)
     total = len(problem_list)
     backend = normalize_backend(backend)
@@ -185,9 +186,7 @@ def solve_batch(
 
     pending = [i for i in range(total) if reports[i] is None]
     groups: list[Group] = []
-    shard_sizes: list[int] = []
-    per_shard_seconds: list[float] = []
-    pooled_shards = 0
+    per_payload_seconds: list[float] = []
 
     if pending and (sinks or fault_plan is not None):
         # Observers and injectors must see every run: sequential loop.
@@ -209,13 +208,12 @@ def solve_batch(
             prefer=prefer,
             vectorize=vectorize,
         )
-        local: list[tuple[list[int], dict[str, Any]]] = []
-        pooled: list[tuple[list[int], dict[str, Any]]] = []
+        payloads: list[dict[str, Any]] = []
         for group in groups:
             if group.kind in VECTORIZED_KINDS:
-                payload = prepare_payload(group)
+                payloads.append(prepare_payload(group))
             else:
-                payload = {
+                payloads.append({
                     "kind": "scalar",
                     "problems": list(group.problems),
                     "solve_kwargs": {
@@ -224,33 +222,15 @@ def solve_batch(
                         "strict": strict,
                         "recovery": recovery,
                     },
-                }
-            shardable = (
-                workers > 1
-                and len(group) >= min_shard_items
-                and (group.kind in VECTORIZED_KINDS or group.picklable)
-            )
-            if shardable:
-                for lo, hi in _even_shards(len(group), workers):
-                    pooled.append(
-                        (group.indices[lo:hi], slice_payload(payload, lo, hi))
-                    )
-                    shard_sizes.append(hi - lo)
-            else:
-                local.append((group.indices, payload))
-
-        pooled_shards = len(pooled)
-        if pooled:
-            results = execute_payloads([p for _, p in pooled], workers)
-            for (indices, _), shard in zip(pooled, results):
-                _scatter(reports, indices, shard)
-                per_shard_seconds.append(shard.wall_seconds)
-        for indices, payload in local:
-            t0 = time.perf_counter()
-            out = run_payload(payload)
-            wall = time.perf_counter() - t0
-            _scatter(reports, indices, ShardResult(out, wall))
-            per_shard_seconds.append(wall)
+                })
+        for group, (out, wall) in zip(groups, execute_payloads(payloads)):
+            if len(out) != len(group):  # pragma: no cover - internal invariant
+                raise RuntimeError(
+                    f"payload returned {len(out)} reports for {len(group)} problems"
+                )
+            for i, report in zip(group.indices, out):
+                reports[i] = report
+            per_payload_seconds.append(wall)
 
     if cache_active:
         assert cache_obj is not None
@@ -273,10 +253,9 @@ def solve_batch(
         fill_factor=(
             sum(len(g) for g in vectorized_groups) / len(pending) if pending else 0.0
         ),
-        shards=pooled_shards,
-        shard_sizes=tuple(shard_sizes),
-        per_shard_seconds=tuple(per_shard_seconds),
-        workers=workers,
+        shards=0,
+        shard_sizes=(),
+        per_shard_seconds=tuple(per_payload_seconds),
         backend=backend,
         wall_seconds=time.perf_counter() - start,
     )
@@ -285,27 +264,18 @@ def solve_batch(
     return BatchResult(reports=final, stats=stats)
 
 
-def _even_shards(num_items: int, workers: int) -> list[tuple[int, int]]:
-    """``min(workers, num_items)`` contiguous ``[start, stop)`` ranges
-    covering ``num_items``, with sizes differing by at most one."""
-    k = min(workers, num_items)
-    if k < 1:
-        return []
-    base, rem = divmod(num_items, k)
-    bounds = [0]
-    for i in range(k):
-        bounds.append(bounds[-1] + base + (1 if i < rem else 0))
-    return list(zip(bounds, bounds[1:]))
+def execute_payloads(
+    payloads: list[dict[str, Any]],
+) -> list[tuple[list[SolveReport], float]]:
+    """Run each payload in order; its reports and wall seconds.
 
-
-def _scatter(
-    reports: list[SolveReport | None],
-    indices: Sequence[int],
-    shard: ShardResult,
-) -> None:
-    if len(shard.reports) != len(indices):  # pragma: no cover - internal invariant
-        raise RuntimeError(
-            f"shard returned {len(shard.reports)} reports for {len(indices)} problems"
-        )
-    for i, report in zip(indices, shard.reports):
-        reports[i] = report
+    Calls the module-level :func:`~repro.exec.vectorized.run_payload`
+    on every payload.  A payload that raises re-raises here, matching
+    the looped ``solve()`` contract.
+    """
+    out: list[tuple[list[SolveReport], float]] = []
+    for payload in payloads:
+        t0 = time.perf_counter()
+        reports = run_payload(payload)
+        out.append((reports, time.perf_counter() - t0))
+    return out

@@ -5,9 +5,7 @@ Every problem is classified and routed by
 on.  Problems that go to the same fast systolic lane (Fig. 5 or Fig. 3)
 with the same shape are grouped so one stacked call of that lane
 (:mod:`repro.exec.vectorized`) can carry the whole group.
-Everything else lands in scalar groups that loop ``solve()`` —
-partitioned by whether the problems are picklable, since only picklable
-scalar groups can be shipped to a worker process.
+Everything else lands in one scalar group that loops ``solve()``.
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ import dataclasses
 from typing import Any
 
 from ..core.classification import Recommendation, recommend
-from ..core.problem import MatrixChainProblem
 from ..core.solver import route
-from ..graphs import MultistageGraph
 
 __all__ = ["Group", "group_problems", "VECTORIZED_KINDS"]
 
@@ -35,28 +31,25 @@ class Group:
     indices: list[int]  # positions in the original batch
     problems: list[Any]
     recommendations: list[Recommendation]
-    picklable: bool  # safe to ship to a worker process
 
     def __len__(self) -> int:
         return len(self.indices)
 
 
+_SCALAR = ("scalar",)
+
+
 def _plan(
     problem: Any, rec: Recommendation, prefer: str | None
-) -> tuple[str, tuple[Any, ...], bool]:
-    """(kind, group key, picklable) for one problem, routed as ``solve()`` routes it."""
+) -> tuple[str, tuple[Any, ...]]:
+    """(kind, group key) for one problem, routed as ``solve()`` routes it."""
     method, _ = route(problem, rec, prefer)
     if method == "fig5":
         shape = (problem.num_stages, problem.stage_sizes[0])
-        return "feedback", ("feedback", *shape, problem.semiring.name), True
+        return "feedback", ("feedback", *shape, problem.semiring.name)
     if method == "pipelined":
-        key = ("pipelined", problem.stage_sizes, problem.semiring.name)
-        return "pipelined", key, True
-    # ``edge_cost`` is frequently a closure, so node-value problems are
-    # conservatively treated as unpicklable; their *vectorized* payloads
-    # (materialized cost matrices) still ship fine.
-    picklable = isinstance(problem, (MultistageGraph, MatrixChainProblem))
-    return "scalar", ("scalar", picklable), picklable
+        return "pipelined", ("pipelined", problem.stage_sizes, problem.semiring.name)
+    return "scalar", _SCALAR
 
 
 def group_problems(
@@ -68,23 +61,18 @@ def group_problems(
 ) -> list[Group]:
     """Partition ``problems`` (at batch positions ``indices``) into groups.
 
-    With ``vectorize=False`` (side-effectful or cycle-accurate batches)
-    every problem joins a scalar group — the kernels below are fast-path
-    only — but scalar grouping by picklability still applies, so rtl
-    batches can be sharded across workers.
+    With ``vectorize=False`` (cycle-accurate or strict batches) every
+    problem joins the scalar group: the stacked lanes are fast-path only.
     """
     groups: dict[tuple[Any, ...], Group] = {}
     for pos, problem in zip(indices, problems):
         rec = recommend(problem)
-        kind, key, picklable = _plan(problem, rec, prefer)
+        kind, key = _plan(problem, rec, prefer)
         if not vectorize and kind in VECTORIZED_KINDS:
-            kind, key = "scalar", ("scalar", picklable)
+            kind, key = "scalar", _SCALAR
         group = groups.get(key)
         if group is None:
-            group = Group(
-                kind=kind, key=key, indices=[], problems=[],
-                recommendations=[], picklable=picklable,
-            )
+            group = Group(kind=kind, key=key, indices=[], problems=[], recommendations=[])
             groups[key] = group
         group.indices.append(pos)
         group.problems.append(problem)

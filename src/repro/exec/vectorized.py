@@ -11,10 +11,8 @@ a batch of one, so values, traced paths and closed-form counters are
 bit-identical per instance by construction.
 
 This module only stacks the operands and wraps the lane's results.
-Groups travel as picklable *payloads* (plain dicts of stacked
-``ndarray``s plus the semiring name), so the same code runs in-process
-and inside pool workers: a group is prepared once, optionally sliced
-into shards, and each shard executes independently.
+A group becomes one *payload* (a plain dict of stacked ``ndarray``s
+plus the semiring name), prepared once and executed once.
 """
 
 from __future__ import annotations
@@ -38,10 +36,10 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Payload preparation (runs in the parent process)
+# Payload preparation
 # ----------------------------------------------------------------------
 def prepare_payload(group: Group) -> dict[str, Any]:
-    """A picklable execution payload for one vectorizable group.
+    """The execution payload for one vectorizable group.
 
     ``operands`` holds the stacked arrays, each with the batch on axis
     0: the Fig. 5 layer cost matrices, or the Fig. 3 matrix string whose
@@ -88,7 +86,7 @@ def slice_payload(payload: dict[str, Any], start: int, stop: int) -> dict[str, A
 
 
 # ----------------------------------------------------------------------
-# Payload execution (runs in-process or inside a pool worker)
+# Payload execution
 # ----------------------------------------------------------------------
 def run_payload(payload: dict[str, Any]) -> list[SolveReport]:
     """Execute one payload, returning per-instance solve reports in order."""

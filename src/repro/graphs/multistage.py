@@ -36,6 +36,15 @@ class GraphError(ValueError):
     """Raised for malformed multistage graphs or problems."""
 
 
+def _has_nan(a: np.ndarray) -> bool:
+    """True when non-empty float array ``a`` holds a NaN.
+
+    ``min`` propagates NaN while ``±inf`` (missing edges) pass through,
+    and one reduction is cheaper than ``isnan(a).any()`` on small arrays.
+    """
+    return a.dtype.kind == "f" and bool(np.isnan(np.minimum.reduce(a, axis=None)))
+
+
 @dataclasses.dataclass(frozen=True)
 class MultistageGraph:
     """A multistage graph in edge-cost form.
@@ -47,7 +56,8 @@ class MultistageGraph:
         ``k + 1`` with shape ``(size of stage k, size of stage k + 1)``;
         entry ``(i, j)`` is the cost of the edge from node ``i`` of stage
         ``k`` to node ``j`` of stage ``k + 1``.  ``semiring.zero``
-        (``+inf`` for min-plus) encodes a missing edge.
+        (``+inf`` for min-plus) encodes a missing edge; NaN is rejected
+        with :class:`GraphError`.
     semiring:
         The cost algebra; min-plus by default (shortest path).
 
@@ -66,6 +76,8 @@ class MultistageGraph:
                 raise GraphError(f"costs[{k}] must be 2-D, got shape {c.shape}")
             if min(c.shape) < 1:
                 raise GraphError(f"costs[{k}] has an empty stage: shape {c.shape}")
+            if _has_nan(c):
+                raise GraphError(f"costs[{k}] contains NaN")
         for k in range(len(mats) - 1):
             if mats[k].shape[1] != mats[k + 1].shape[0]:
                 raise GraphError(
@@ -196,7 +208,8 @@ class NodeValueProblem:
     ----------
     values:
         ``values[k]`` is the 1-D array of quantized values of variable
-        ``X_{k+1}`` (stage ``k``).
+        ``X_{k+1}`` (stage ``k``); NaN is rejected with
+        :class:`GraphError`.
     edge_cost:
         Vectorized ``g``: called as ``edge_cost(xk, xk1)`` on broadcastable
         arrays of stage-``k`` and stage-``k+1`` values, returns elementwise
@@ -220,6 +233,8 @@ class NodeValueProblem:
                 raise GraphError(f"values[{k}] must be 1-D, got shape {v.shape}")
             if v.size == 0:
                 raise GraphError(f"values[{k}] is empty")
+            if _has_nan(v):
+                raise GraphError(f"values[{k}] contains NaN")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -243,7 +258,7 @@ class NodeValueProblem:
 
         ``out[i, j] = g(values[k][i], values[k+1][j])`` — used to convert
         the problem to edge-cost form and by the sequential reference
-        solver.
+        solver.  A NaN cost raises :class:`GraphError`.
         """
         if not 0 <= k < self.num_stages - 1:
             raise GraphError(f"layer index {k} out of range")
@@ -256,6 +271,8 @@ class NodeValueProblem:
                 f"edge_cost returned shape {out.shape}, expected {expected}; "
                 "it must be vectorized over broadcast inputs"
             )
+        if _has_nan(out):
+            raise GraphError(f"edge_cost returned NaN between stages {k} and {k + 1}")
         return out
 
     def to_graph(self) -> MultistageGraph:

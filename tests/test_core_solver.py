@@ -212,6 +212,15 @@ class TestRouting:
         for name in ("pipelined", "broadcast", "sequential", "dnc", "systolic"):
             assert name in str(err.value)
 
+    def test_unknown_prefer_rejected_by_empty_batch(self):
+        from repro import solve_batch
+
+        with pytest.raises(ValueError) as from_solve:
+            solve(fig1a_graph(), prefer="quantum")
+        with pytest.raises(ValueError) as from_batch:
+            solve_batch([], prefer="quantum")
+        assert str(from_batch.value) == str(from_solve.value)
+
     def test_unknown_prefer_rejected_for_chains(self):
         with pytest.raises(ValueError, match="quantum"):
             solve(MatrixChainProblem((10, 20, 5)), prefer="quantum")

@@ -1,11 +1,10 @@
-"""Even sharding, process-pool execution, and report pickling.
+"""Report pickling, and the deprecated ``solve_batch(workers=)`` keyword.
 
-A shardable group splits evenly into ``min(workers, len(group))``
-contiguous shards.  The pool tests pin the engine contract — sharded
-execution is bit-identical to in-process execution — and the pickle
-round-trips are what make the pool possible at all: every report
-(including nested fault and hazard payloads) must survive a worker
-boundary unchanged.
+``solve_batch`` runs every group in-process; ``workers`` no longer has
+an effect and only warns.  Reports still cross process boundaries for
+users who ship them (and ``HazardError`` keeps its ``__reduce__``), so
+every report — including nested fault and hazard payloads — must
+survive a pickle round-trip unchanged.
 """
 
 from __future__ import annotations
@@ -16,72 +15,21 @@ import numpy as np
 import pytest
 
 from repro import MatrixChainProblem, solve, solve_batch
-from repro.exec.engine import _even_shards
 from repro.faults import FaultPlan, FaultSpec
 from repro.graphs import random_multistage, traffic_light_problem, uniform_multistage
 
 from .test_exec_batch import assert_same_report
 
 
-def _sizes(offsets):
-    return [hi - lo for lo, hi in offsets]
-
-
-class TestPlanShards:
-    @pytest.mark.parametrize("n,workers", [(1, 1), (7, 2), (64, 2), (257, 4), (1000, 8)])
-    def test_sizes_partition_the_items(self, n, workers):
-        offsets = _even_shards(n, workers)
-        assert len(offsets) == min(n, workers)
-        assert sum(_sizes(offsets)) == n
-        assert all(s > 0 for s in _sizes(offsets))
-        assert offsets[0][0] == 0 and offsets[-1][1] == n
-        for (_, hi), (lo, _) in zip(offsets, offsets[1:]):
-            assert hi == lo
-
-    def test_even_strategy_splits_equally(self):
-        assert _sizes(_even_shards(100, 4)) == [25, 25, 25, 25]
-        # One payload per worker: two shards of 32, not (31, 31, 1, 1).
-        assert _sizes(_even_shards(64, 2)) == [32, 32]
-        sizes = _sizes(_even_shards(10, 3))
-        assert sum(sizes) == 10
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_zero_items_empty_plan(self):
-        assert _even_shards(0, 4) == []
-
-
-class TestShardedExecution:
-    def test_vectorized_group_sharded_across_two_workers(self, rng):
+class TestWorkersKeyword:
+    def test_workers_is_a_deprecated_no_op(self, rng):
         probs = [traffic_light_problem(rng, 5, 4) for _ in range(24)]
-        result = solve_batch(probs, workers=2, min_shard_items=8)
-        assert result.stats.shards >= 2
-        assert sum(result.stats.shard_sizes) == 24
-        assert len(result.stats.per_shard_seconds) == result.stats.shards
-        for rep, problem in zip(result, probs):
-            assert_same_report(rep, solve(problem, backend="fast"))
-
-    def test_scalar_picklable_group_sharded(self, rng):
-        probs = [
-            MatrixChainProblem(tuple(int(d) for d in rng.integers(2, 30, size=5)))
-            for _ in range(12)
-        ]
-        result = solve_batch(probs, workers=2, min_shard_items=4)
-        assert result.stats.shards >= 2
-        for rep, problem in zip(result, probs):
-            assert_same_report(rep, solve(problem, backend="fast"))
-
-    def test_small_groups_stay_in_process(self, rng):
-        probs = [traffic_light_problem(rng, 5, 4) for _ in range(4)]
-        result = solve_batch(probs, workers=2, min_shard_items=64)
-        assert result.stats.shards == 0
-
-    def test_even_strategy_end_to_end(self, rng):
-        probs = [traffic_light_problem(rng, 5, 4) for _ in range(17)]
-        result = solve_batch(probs, workers=2, min_shard_items=8)
-        # min(workers, len(group)) shards, sizes differing by at most one.
-        assert result.stats.shard_sizes == (9, 8)
-        for rep, problem in zip(result, probs):
-            assert_same_report(rep, solve(problem, backend="fast"))
+        with pytest.warns(DeprecationWarning, match="workers") as record:
+            result = solve_batch(probs, workers=2)
+        assert len(record) == 1
+        assert result.stats.shards == 0 and result.stats.shard_sizes == ()
+        for rep, ref in zip(result, solve_batch(probs)):
+            assert_same_report(rep, ref)
 
 
 class TestReportPickleRoundTrip:

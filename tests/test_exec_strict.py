@@ -1,13 +1,12 @@
-"""Hazard sanitizer × batch engine: strict runs compose with sharding.
+"""Hazard sanitizer × batch engine: strict runs stay per-instance.
 
 ``strict=True`` wires a :class:`~repro.analysis.HazardSanitizer` into
 every machine the run builds.  Sanitizers are stateful monitors, so the
-batch engine must never share one across instances or workers: strict
-batches skip the vectorized kernels (per-instance machines only) and,
-when sharded, every worker process constructs its own sanitizer.  The
-fixture designs under ``tests/fixtures`` pin that isolation — a seeded
-hazard is detected identically in every worker, and a clean design
-stays clean, with no cross-talk between concurrent runs.
+batch engine must never share one across instances: strict batches skip
+the vectorized kernels (per-instance machines only).  The fixture
+designs under ``tests/fixtures`` also pin isolation across processes —
+a seeded hazard is detected identically in every worker, and a clean
+design stays clean, with no cross-talk between concurrent runs.
 """
 
 from __future__ import annotations
@@ -29,18 +28,6 @@ class TestStrictBatches:
         probs = [uniform_multistage(rng, 4, 3) for _ in range(4)]
         result = solve_batch(probs, backend="rtl", strict=True)
         assert result.stats.vectorized_groups == 0
-        for rep, problem in zip(result, probs):
-            assert_same_report(rep, solve(problem, backend="rtl", strict=True))
-            assert rep.detail.report.hazards == 0
-
-    def test_strict_rtl_batch_sharded_across_two_workers(self, rng):
-        # MultistageGraph pickles, so strict rtl groups shard; each worker
-        # builds its own machines and sanitizers per instance.
-        probs = [uniform_multistage(rng, 4, 3) for _ in range(8)]
-        result = solve_batch(
-            probs, backend="rtl", strict=True, workers=2, min_shard_items=4
-        )
-        assert result.stats.shards >= 2
         for rep, problem in zip(result, probs):
             assert_same_report(rep, solve(problem, backend="rtl", strict=True))
             assert rep.detail.report.hazards == 0

@@ -37,6 +37,24 @@ class TestConstruction:
         with pytest.raises(GraphError, match="empty stage"):
             MultistageGraph(costs=(np.zeros((0, 3)),))
 
+    def test_nan_cost_rejected(self):
+        costs = (np.zeros((1, 3)), np.zeros((3, 3)), np.zeros((3, 1)))
+        costs[1][0, 0] = np.nan
+        with pytest.raises(GraphError, match=r"costs\[1\] contains NaN"):
+            MultistageGraph(costs=costs)
+
+    def test_non_float_semiring_still_constructs(self):
+        import dataclasses
+
+        from repro.semiring import BOOLEAN
+
+        costs = (np.array([[True, False]]), np.array([[True], [True]]))
+        assert MultistageGraph(costs=costs, semiring=BOOLEAN).num_edges() == 3
+        for dtype in (np.bool_, object):
+            sr = dataclasses.replace(BOOLEAN, dtype=np.dtype(dtype))
+            g = MultistageGraph(costs=costs, semiring=sr)
+            assert g.costs[0].dtype == np.dtype(dtype)
+
     def test_num_edges_counts_finite_costs(self):
         c = np.array([[1.0, np.inf], [np.inf, 2.0]])
         g = MultistageGraph(costs=(c,))
@@ -151,6 +169,27 @@ class TestNodeValueProblem:
             NodeValueProblem(
                 values=(np.array([1.0]), np.array([])), edge_cost=lambda a, b: a - b
             )
+
+    def test_nan_value_rejected(self):
+        with pytest.raises(GraphError, match=r"values\[1\] contains NaN"):
+            NodeValueProblem(
+                values=(np.array([1.0, 2.0]), np.array([np.nan, 4.0])),
+                edge_cost=lambda a, b: np.abs(a - b),
+            )
+
+    def test_nan_edge_cost_rejected_by_both_entry_points(self):
+        from repro import solve, solve_batch
+
+        values = tuple(np.array([0.0, 1.0, 2.0]) for _ in range(4))
+        p = NodeValueProblem(
+            values=values,
+            edge_cost=lambda a, b: np.where((a == 1) & (b == 2), np.nan, (a - b) ** 2),
+        )
+        msg = r"edge_cost returned NaN between stages 0 and 1"
+        with pytest.raises(GraphError, match=msg):
+            solve(p, backend="fast")
+        with pytest.raises(GraphError, match=msg):
+            solve_batch([p, p])
 
     def test_non_vectorized_cost_rejected(self):
         p = NodeValueProblem(
